@@ -14,8 +14,8 @@ util::Buffer encode_value(mac::Value v) {
 
 }  // namespace
 
-CommitFlood::CommitFlood(bool leader, mac::Value value)
-    : leader_(leader), value_(value) {
+CommitFlood::CommitFlood(bool leader, mac::Value value, bool relays)
+    : leader_(leader), relays_(relays), value_(value) {
   AMAC_EXPECTS(value >= 0);
 }
 
@@ -35,7 +35,7 @@ void CommitFlood::on_receive(const mac::Packet& packet, mac::Context& ctx) {
     decided_ = true;
     value_ = v;
     ctx.decide(v);
-    relay_pending_ = true;  // re-flood once, so the wave crosses the graph
+    relay_pending_ = relays_;  // re-flood once, so the wave crosses the graph
   }
   relay(ctx);
 }
@@ -55,6 +55,7 @@ std::unique_ptr<mac::Process> CommitFlood::clone() const {
 
 void CommitFlood::digest(util::Hasher& h) const {
   h.mix_bool(leader_);
+  h.mix_bool(relays_);
   h.mix_i64(value_);
   h.mix_bool(decided_);
   h.mix_bool(relay_pending_);

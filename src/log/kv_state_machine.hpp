@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <unordered_map>
 
 #include "log/workload.hpp"
 #include "util/hash.hpp"
@@ -33,7 +33,7 @@ class KvStateMachine {
   [[nodiscard]] std::size_t table_size() const { return kv_.size(); }
 
  private:
-  std::map<std::uint32_t, std::uint32_t> kv_;
+  std::unordered_map<std::uint32_t, std::uint32_t> kv_;
   util::Hasher fold_;
   std::size_t applied_ = 0;
 };

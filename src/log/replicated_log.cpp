@@ -9,7 +9,8 @@ namespace amac::log {
 
 ReplicatedLog::ReplicatedLog(const net::Graph& graph,
                              mac::Scheduler& scheduler,
-                             const Workload& workload, LogConfig config)
+                             const Workload& workload, LogConfig config,
+                             bool prune_relays)
     : graph_(graph),
       workload_(workload),
       config_(config),
@@ -17,7 +18,8 @@ ReplicatedLog::ReplicatedLog(const net::Graph& graph,
       total_slots_((workload.size() + config.batch_size - 1) /
                    config.batch_size),
       net_(graph, slot_factory(0, SlotMode::kElective, 0), scheduler),
-      current_leader_(static_cast<NodeId>(n_ - 1)) {
+      current_leader_(static_cast<NodeId>(n_ - 1)),
+      prune_relays_(prune_relays) {
   AMAC_EXPECTS(workload.size() > 0);
   AMAC_EXPECTS(config_.batch_size >= 1);
   AMAC_EXPECTS(config_.window >= 1);
@@ -39,6 +41,7 @@ ReplicatedLog::ReplicatedLog(const net::Graph& graph,
   stats_.relaunched_at.assign(total_slots_, 0);
   stats_.leader = current_leader_;
   stats_.lease_ok = true;
+  rebuild_relay_mask();
 
   // Slot 0 is instance 0 (built by the Network constructor) and always an
   // elective lease renewal; the rest of the initial window launches
@@ -90,11 +93,43 @@ mac::ProcessFactory ReplicatedLog::slot_factory(std::size_t slot,
     case SlotMode::kLeased:
       break;
   }
+  // add_instance consumes the factory before returning, so borrowing the
+  // mask (rebuilt only between launches) is safe.
   const NodeId leader = current_leader_;
   const auto value = static_cast<mac::Value>(slot);
-  return [leader, value](NodeId u) -> std::unique_ptr<mac::Process> {
-    return std::make_unique<core::CommitFlood>(u == leader, value);
+  const std::vector<bool>& relays = relay_mask_;
+  return [leader, value, &relays](NodeId u) -> std::unique_ptr<mac::Process> {
+    return std::make_unique<core::CommitFlood>(u == leader, value, relays[u]);
   };
+}
+
+void ReplicatedLog::rebuild_relay_mask() {
+  // Follower u relays iff it has a neighbour outside N[leader]: the
+  // leader's own broadcast already reaches all of N[leader], and on a
+  // connected graph these relays still carry the wave to every BFS depth
+  // (core/commit_flood.hpp). One O(n + m) pass per lease holder.
+  relay_mask_.assign(n_, !prune_relays_);
+  if (!prune_relays_) return;
+  std::vector<bool> covered(n_, false);
+  covered[current_leader_] = true;
+  for (const NodeId v : graph_.neighbors(current_leader_)) covered[v] = true;
+  for (NodeId u = 0; u < n_; ++u) {
+    for (const NodeId v : graph_.neighbors(u)) {
+      if (!covered[v]) {
+        relay_mask_[u] = true;
+        break;
+      }
+    }
+  }
+}
+
+std::optional<mac::Value> ReplicatedLog::first_decision(
+    mac::InstanceId instance) const {
+  for (NodeId u = 0; u < n_; ++u) {
+    const mac::Decision& d = net_.decision(u, instance);
+    if (d.decided) return d.value;
+  }
+  return std::nullopt;
 }
 
 void ReplicatedLog::launch_ready_slots() {
@@ -122,13 +157,21 @@ void ReplicatedLog::launch_ready_slots() {
 }
 
 void ReplicatedLog::pump(mac::Network& net) {
+  // Runs after every event, but a slot can only have settled if the
+  // engine's settle epoch moved since the last scan began: O(1) otherwise.
+  if (net.settle_epoch() == scanned_epoch_) return;
+  scanned_epoch_ = net.settle_epoch();
   // Scan the (window-bounded) in-flight set for freshly decided slots.
   // instance_all_decided is O(1) per instance, so this is O(window) per
-  // event — the service layer's constant, not a hidden O(slots).
+  // settle. A settled slot in which no node decided lost every node to
+  // crashes: it stays in flight (drive() ends incomplete) rather than
+  // being judged — there is no decision to judge.
   bool any = false;
   for (std::size_t i = 0; i < inflight_.size();) {
     const std::size_t slot = inflight_[i];
-    if (net.instance_all_decided(slots_[slot].instance)) {
+    const mac::InstanceId instance = slots_[slot].instance;
+    if (net.instance_all_decided(instance) &&
+        first_decision(instance).has_value()) {
       inflight_.erase(inflight_.begin() + static_cast<std::ptrdiff_t>(i));
       on_slot_decided(slot);
       any = true;
@@ -180,8 +223,9 @@ void ReplicatedLog::on_slot_decided(std::size_t slot) {
     if (winner < n_ && !net_.crashed(winner)) {
       if (winner != current_leader_) {
         ++stats_.re_elections;
+        current_leader_ = winner;
+        rebuild_relay_mask();
       }
-      current_leader_ = winner;
       lease_ok_ = true;
       stats_.leader = current_leader_;
       stats_.lease_ok = true;
@@ -268,17 +312,9 @@ void ReplicatedLog::recover_stalled_slots() {
     // that value and agreement across the retirement holds by
     // construction. An undecided elective slot relaunches electively —
     // the re-run election is among the live nodes.
-    mac::Value forced = rec.sole;
-    bool have_decision = false;
-    for (std::size_t u = 0; u < n_; ++u) {
-      const mac::Decision& d =
-          net_.decision(static_cast<NodeId>(u), rec.instance);
-      if (d.decided) {
-        forced = d.value;
-        have_decision = true;
-        break;
-      }
-    }
+    const std::optional<mac::Value> carried = first_decision(rec.instance);
+    const bool have_decision = carried.has_value();
+    const mac::Value forced = carried.value_or(rec.sole);
     net_.retire_instance(rec.instance);
     const SlotMode mode = (rec.elective && !have_decision)
                               ? SlotMode::kElective

@@ -21,6 +21,10 @@
 //     node deciding on first receipt. One dissemination wave per slot
 //     instead of a full proposer/acceptor exchange — the Lemma 4.2-style
 //     amortization: coordination is paid once per lease, not once per op.
+//     Only followers with a neighbour outside the leader's closed
+//     neighbourhood relay the wave (mask rebuilt in O(n + m) per lease
+//     holder, see core/commit_flood.hpp), so on a clique a leased slot is
+//     the leader's single broadcast.
 //   * Batching multiplies the win: one decided value commits `batch_size`
 //     client ops, so bytes-per-op and slots-per-op both shrink.
 //   With lease_slots = 1 and batch_size = 1 the same code path IS the
@@ -42,14 +46,19 @@
 // Correctness: every decided slot is judged by the per-instance oracle
 // (verify::check_consensus(net, instance, inputs)) — per-slot agreement
 // and validity are what make a log of consensus instances a correct log.
-// If a leased slot stalls (a crashed leader floods nothing and the event
-// queue drains), recovery relaunches the slot as a full wPAXOS instance —
-// the slow path is always safe, the fast path is merely fast. The lease is
-// broken only until the next renewal slot re-elects a live holder.
+// If a leased slot stalls (a crashed leader floods nothing, or reached only
+// some nodes and nobody relays to the rest, and the event queue drains),
+// recovery relaunches the slot as a full wPAXOS instance — the slow path
+// is always safe, the fast path is merely fast. The lease is broken only
+// until the next renewal slot re-elects a live holder. A slot whose every
+// node crashed undecided settles with no decision; it is never judged
+// decided, stays in flight, and drive() ends incomplete.
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/wpaxos/wpaxos.hpp"
@@ -160,7 +169,9 @@ class ReplicatedLog {
   /// The log serves `workload` over `graph` with `scheduler` timing.
   /// Identity node ids are assumed (renewal slots elect the max live id).
   ReplicatedLog(const net::Graph& graph, mac::Scheduler& scheduler,
-                const Workload& workload, LogConfig config = {});
+                const Workload& workload, LogConfig config = {})
+      : ReplicatedLog(graph, scheduler, workload, std::move(config),
+                      /*prune_relays=*/true) {}
 
   ReplicatedLog(const ReplicatedLog&) = delete;
   ReplicatedLog& operator=(const ReplicatedLog&) = delete;
@@ -218,12 +229,23 @@ class ReplicatedLog {
     bool progress_marked = false;  ///< had a recovery look already
   };
 
+  /// Relay-everywhere services (prune_relays = false) exist only as the
+  /// tests' A/B reference for the pruned flood, built through this peer.
+  friend struct ReplicatedLogTestPeer;
+
+  ReplicatedLog(const net::Graph& graph, mac::Scheduler& scheduler,
+                const Workload& workload, LogConfig config, bool prune_relays);
+
   [[nodiscard]] bool lease_renewal_slot(std::size_t slot) const {
     return slot % config_.lease_slots == 0;
   }
   [[nodiscard]] mac::ProcessFactory slot_factory(std::size_t slot,
                                                  SlotMode mode,
                                                  mac::Value forced) const;
+  void rebuild_relay_mask();
+  /// The value the first node that decided in `instance` decided, if any.
+  [[nodiscard]] std::optional<mac::Value> first_decision(
+      mac::InstanceId instance) const;
   void pump(mac::Network& net);
   void on_slot_decided(std::size_t slot);
   void apply_ready_prefix();
@@ -247,6 +269,13 @@ class ReplicatedLog {
   /// leased slots behind the still-deciding renewal; every renewal slot's
   /// decision re-derives it via decode_leader.
   NodeId current_leader_;
+  /// relay_mask_[u]: follower u re-floods current_leader_'s leased slots.
+  /// Rebuilt only when the lease holder changes.
+  std::vector<bool> relay_mask_;
+  bool prune_relays_;
+  /// Network::settle_epoch() at the start of pump's last in-flight scan:
+  /// an unmoved epoch means no slot can have settled since.
+  std::uint64_t scanned_epoch_ = 0;
   /// Cleared by recovery (the lease holder failed to serve a slot), set
   /// again when a renewal slot elects a live holder — "broken until next
   /// renewal", not a terminal state.

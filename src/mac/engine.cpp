@@ -20,7 +20,7 @@ class Network::NodeContext final : public Context {
     AMAC_EXPECTS(!st.decision.decided);
     st.decision = Decision{true, v, net_->now_};
     AMAC_ENSURES(inst.undecided_alive > 0);
-    --inst.undecided_alive;
+    if (--inst.undecided_alive == 0) ++net_->settle_epoch_;
     AMAC_ENSURES(net_->undecided_alive_ > 0);
     --net_->undecided_alive_;
   }
@@ -67,6 +67,7 @@ InstanceId Network::add_instance(const ProcessFactory& factory) {
     ++inst.undecided_alive;
   }
   undecided_alive_ += inst.undecided_alive;
+  if (inst.undecided_alive == 0) ++settle_epoch_;  // no live node: settled
   instances_.push_back(std::move(inst));
   if (started_) {
     // Launched mid-run (e.g. a pipelined log slot): start callbacks fire
@@ -88,6 +89,7 @@ void Network::retire_instance(InstanceId instance) {
   for (auto& node : inst.nodes) node.process.reset();
   AMAC_ENSURES(undecided_alive_ >= inst.undecided_alive);
   undecided_alive_ -= inst.undecided_alive;
+  if (inst.undecided_alive != 0) ++settle_epoch_;  // vacuously settled now
   inst.undecided_alive = 0;
 }
 
@@ -484,7 +486,7 @@ void Network::process_event(const Event& e) {
       for (Instance& inst : instances_) {
         if (inst.retired || inst.nodes[e.node].decision.decided) continue;
         AMAC_ENSURES(inst.undecided_alive > 0);
-        --inst.undecided_alive;
+        if (--inst.undecided_alive == 0) ++settle_epoch_;
         AMAC_ENSURES(undecided_alive_ > 0);
         --undecided_alive_;
       }

@@ -118,6 +118,18 @@
 //     returns its pool claims as its flights drain; events addressed to a
 //     retired instance are consumed as pure bookkeeping (no callbacks, no
 //     delivery/ack counters).
+//   * Settle epoch. An instance is SETTLED once its undecided-alive count
+//     is 0 (instance_all_decided). settle_epoch() is a monotone counter
+//     bumped every time some instance's count reaches 0 — a decide, a
+//     crash taking its last undecided live node, add_instance with no live
+//     node, or retire_instance of an unsettled instance. A driver polling
+//     for settled instances after every event (the replicated log's
+//     post-event hook) compares the epoch with the one its last scan saw
+//     and skips the scan when it has not moved: O(1) per event instead of
+//     O(in-flight instances), with the scan itself — and therefore every
+//     call order, seq, tick and digest — unchanged. Settled does not mean
+//     decided: an instance whose every node crashed undecided is settled
+//     with no decision at all.
 //   * Digest neutrality. A single-instance Network is bit-identical to the
 //     pre-instance engine: instance 0 is the implicit default everywhere,
 //     the trace digest never mixes instance ids, and no counter moves —
@@ -357,6 +369,11 @@ class Network {
   /// for a retired instance).
   [[nodiscard]] bool instance_all_decided(InstanceId instance) const;
 
+  /// Monotone count of settle transitions (design doc: "Settle epoch"):
+  /// unchanged since a caller's last look means no instance has settled
+  /// since, so instance_all_decided cannot have flipped to true anywhere.
+  [[nodiscard]] std::uint64_t settle_epoch() const { return settle_epoch_; }
+
   /// Starts folding every processed event (t, kind, node, sender,
   /// broadcast id, seq, payload bytes) into a digest. Used by the A/B
   /// differential tests to prove event-order equivalence across engines.
@@ -442,6 +459,7 @@ class Network {
   std::uint64_t next_broadcast_id_ = 1;
   Time now_ = 0;
   std::size_t undecided_alive_ = 0;  ///< sum across live instances
+  std::uint64_t settle_epoch_ = 0;   ///< see settle_epoch()
   EngineStats stats_;
   std::function<void(Network&)> post_event_hook_;
   bool started_ = false;

@@ -9,6 +9,9 @@
 //     run_scenario: the report carries the service observables, the
 //     coverage signature raises kLogService plus nonzero recovery and
 //     re-election buckets, and the run is fingerprint-deterministic;
+//   * a scenario whose every node crashes undecided ends incomplete with
+//     zero per-slot oracle failures: a slot settled with no decision is
+//     not a decided slot;
 //   * mutation can ENTER the family (the kLogService op), and every such
 //     mutant survives the clamp round-trip;
 //   * a log-promoting soak is digest-identical across job counts and
@@ -33,6 +36,14 @@ using harness::Algorithm;
 constexpr const char* kLeaderCrashSpec =
     "amacfuzz1:seed=7:alg=wpaxos:topo=clique:n=5:aux=0:sched=sync:fack=2:"
     "late=0:in=alt:ids=identity:f=0:hz=1000000:log=64@4@2@8:crashes=4@3";
+
+// Both nodes crash at tick 0, before slot 0's first delivery: the slot's
+// instance settles (no undecided live node) with no decision anywhere.
+// Once judged as decided, it counted as a per-slot oracle failure.
+constexpr const char* kAllCrashedSpec =
+    "amacfuzz1:seed=188413741928892:alg=wpaxos:topo=tree:n=2:aux=0:"
+    "sched=holdback:fack=1:late=0:in=random:ids=perm:f=0:hz=30000:"
+    "log=1@1@1@1:crashes=1@0,0@0";
 
 TEST(FuzzLogSpec, RoundTripsLogFields) {
   const auto s = parse_spec(kLeaderCrashSpec);
@@ -121,6 +132,19 @@ TEST(FuzzLogRun, LeaderCrashRunsServiceAndSignalsCoverage) {
   const RunReport r2 = run_scenario(*s);
   EXPECT_EQ(r2.fingerprint, r.fingerprint);
   EXPECT_EQ(r2.log_kv_digest, r.log_kv_digest);
+}
+
+TEST(FuzzLogRun, AllNodesCrashedEndsIncompleteWithoutViolation) {
+  const auto s = parse_spec(kAllCrashedSpec);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(format_spec(*s), kAllCrashedSpec);
+  const RunReport r = run_scenario(*s);
+  EXPECT_TRUE(r.log_service);
+  EXPECT_EQ(r.failure, FailureKind::kNone) << r.detail;
+  EXPECT_TRUE(r.verdict.agreement);
+  EXPECT_TRUE(r.verdict.validity);
+  EXPECT_FALSE(r.verdict.termination);  // nothing left alive to decide
+  EXPECT_FALSE(r.condition_met);
 }
 
 TEST(FuzzLogRun, InstanceFamilyReportsNoService) {

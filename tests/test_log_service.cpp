@@ -4,12 +4,28 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
 #include "log/replicated_log.hpp"
 #include "mac/schedulers.hpp"
 #include "net/topologies.hpp"
+#include "verify/checker.hpp"
 
 namespace amac::log {
+
+/// Builds the relay-everywhere service (every CommitFlood follower
+/// re-floods), the reference the pruned flood is A/B'd against.
+struct ReplicatedLogTestPeer {
+  static std::unique_ptr<ReplicatedLog> relay_everywhere(
+      const net::Graph& graph, mac::Scheduler& scheduler,
+      const Workload& workload, LogConfig config) {
+    return std::unique_ptr<ReplicatedLog>(new ReplicatedLog(
+        graph, scheduler, workload, std::move(config),
+        /*prune_relays=*/false));
+  }
+};
+
 namespace {
 
 constexpr std::uint64_t kSeed = 0xFEED5EED;
@@ -122,8 +138,8 @@ TEST(LogService, LeaseAmortizesBroadcastsPerOp) {
 
   ASSERT_TRUE(ls.complete);
   ASSERT_TRUE(us.complete);
-  // CommitFlood is one dissemination wave (n broadcasts per slot);
-  // wPAXOS's proposer/acceptor exchange is a multiple of that.
+  // CommitFlood is one dissemination wave (on a clique, the leader's one
+  // broadcast); wPAXOS's proposer/acceptor exchange is a multiple of that.
   EXPECT_LT(ls.broadcasts, us.broadcasts / 2);
   EXPECT_LT(ls.payload_bytes, us.payload_bytes);
 }
@@ -280,6 +296,27 @@ TEST(LogService, MultiRoundRecoveryCountsEachSlotOnce) {
             config.max_recovery_rounds * 2u + 2u);  // but skipped live ones
 }
 
+TEST(LogService, AllNodesCrashedSettlesWithoutDecisions) {
+  // Every node crashes before a delivery lands: the in-flight slots settle
+  // (no undecided live node) with nothing decided. They are not decided
+  // slots — no oracle verdict, nothing applied — so the run ends
+  // incomplete, by quiescence rather than horizon, with zero failures.
+  const std::size_t n = 3;
+  const net::Graph graph = net::make_clique(n);
+  const Workload workload(kSeed, 8);
+  LogConfig config;
+  config.batch_size = 2;  // 4 slots, 2 in flight
+  config.window = 2;
+  config.lease_slots = 1;  // a leased leader would decide in on_start
+  for (NodeId u = 0; u < n; ++u) config.crashes.push_back(mac::CrashPlan{u, 0});
+  const auto stats = drive_service(graph, workload, config, nullptr);
+  EXPECT_FALSE(stats.complete);
+  EXPECT_FALSE(stats.horizon_exhausted);
+  EXPECT_EQ(stats.slots_decided, 0u);
+  EXPECT_EQ(stats.ops_applied, 0u);
+  EXPECT_EQ(stats.oracle_failures, 0u);
+}
+
 TEST(LogService, QuiescenceExactlyAtHorizonStillRecovers) {
   const std::size_t n = 8;
   const net::Graph graph = net::make_clique(n);
@@ -376,6 +413,181 @@ TEST(LogService, HorizonExhaustionReportsIncomplete) {
   EXPECT_FALSE(stats.complete);
   EXPECT_LT(stats.ops_applied, 512u);
   EXPECT_LE(stats.end_time, 21u);
+}
+
+/// A star whose hub is node n-1, the initial lease holder.
+net::Graph star_with_hub_last(std::size_t n) {
+  net::Graph g(n);
+  for (NodeId u = 0; u + 1 < n; ++u) g.add_edge(u, static_cast<NodeId>(n - 1));
+  return g;
+}
+
+/// Instance ids of every slot, for per-slot reads and check_log_prefix.
+std::vector<mac::InstanceId> slot_instances(const ReplicatedLog& service) {
+  std::vector<mac::InstanceId> ids(service.stats().slots_total);
+  for (std::size_t s = 0; s < ids.size(); ++s) ids[s] = service.slot_instance(s);
+  return ids;
+}
+
+TEST(LogRelayPruning, MultihopFloodStillReachesEveryNode) {
+  struct Case {
+    std::string name;
+    net::Graph graph;
+    std::size_t leased_broadcasts;  ///< per leased slot, 0 = not pinned
+  };
+  std::vector<Case> cases;
+  cases.push_back({"line", net::make_line(9), 0});
+  // Hub leader: its broadcast covers everyone, nobody relays.
+  cases.push_back({"star-hub-leader", star_with_hub_last(9), 1});
+  // Leaf leader (make_star's hub is node 0): only the hub relays.
+  cases.push_back({"star-leaf-leader", net::make_star(9), 2});
+  cases.push_back({"tree", net::make_binary_tree(15), 0});
+  cases.push_back({"grid", net::make_grid(4, 4), 0});
+
+  const Workload workload(kSeed, 256);
+  LogConfig config;
+  config.batch_size = 4;  // 64 slots: renewals at 0, 16, 32, 48
+  config.window = 4;
+  config.lease_slots = 16;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    mac::SynchronousScheduler sched(1);
+    ReplicatedLog pruned(c.graph, sched, workload, config);
+    const LogServiceStats& ps = pruned.drive(mac::Time{1} << 32);
+    ASSERT_TRUE(ps.complete);
+    EXPECT_EQ(ps.oracle_failures, 0u);
+    EXPECT_EQ(ps.slots_recovered, 0u);
+    EXPECT_EQ(ps.slots_leased, 60u);
+
+    // Every node decides every leased slot, without recovery's help.
+    const mac::Network& net = pruned.network();
+    for (std::size_t s = 0; s < ps.slots_total; ++s) {
+      if (s % config.lease_slots == 0) continue;
+      const mac::InstanceId inst = pruned.slot_instance(s);
+      for (NodeId u = 0; u < c.graph.node_count(); ++u) {
+        EXPECT_TRUE(net.decision(u, inst).decided) << "slot " << s << " node " << u;
+      }
+      if (c.leased_broadcasts != 0) {
+        EXPECT_EQ(net.instance_stats(inst).broadcasts, c.leased_broadcasts)
+            << "slot " << s;
+      }
+    }
+
+    // Uniform delays: a relay copy never beats the copy it duplicates, so
+    // the pruned service is tick-for-tick the relay-everywhere one.
+    mac::SynchronousScheduler ref_sched(1);
+    const auto everywhere = ReplicatedLogTestPeer::relay_everywhere(
+        c.graph, ref_sched, workload, config);
+    const LogServiceStats& es = everywhere->drive(mac::Time{1} << 32);
+    ASSERT_TRUE(es.complete);
+    EXPECT_EQ(pruned.state_machine().digest(),
+              everywhere->state_machine().digest());
+    EXPECT_EQ(ps.decide_latency, es.decide_latency);
+    EXPECT_LE(ps.end_time, es.end_time);
+    EXPECT_LE(ps.broadcasts, es.broadcasts);
+    if (c.leased_broadcasts != 0) {
+      EXPECT_LT(ps.broadcasts, es.broadcasts);
+    }
+  }
+}
+
+TEST(LogRelayPruning, LeaderCrashMidBroadcastRecoversOnClique) {
+  // Random per-receiver delays make a crash land mid-broadcast: some
+  // followers got the leader's value, the rest never will, and on a clique
+  // nobody relays. The stalled slot must be recovered by carrying the
+  // decided value into a forced wPAXOS relaunch.
+  const std::size_t n = 8;
+  const NodeId leader = static_cast<NodeId>(n - 1);
+  const net::Graph graph = net::make_clique(n);
+  const Workload workload(kSeed, 128);
+  LogConfig config;
+  config.batch_size = 2;  // 64 slots
+  config.window = 4;
+  config.lease_slots = 16;
+
+  KvStateMachine clean_kv;
+  {
+    LogConfig clean = config;
+    ASSERT_TRUE(drive_service(graph, workload, clean, &clean_kv).complete);
+  }
+
+  std::size_t partial_runs = 0;
+  for (mac::Time crash_at = 1; crash_at <= 40; ++crash_at) {
+    SCOPED_TRACE("crash_at=" + std::to_string(crash_at));
+    LogConfig crashed = config;
+    crashed.crashes.push_back(mac::CrashPlan{leader, crash_at});
+    mac::UniformRandomScheduler sched(4, kSeed + crash_at);
+    ReplicatedLog service(graph, sched, workload, crashed);
+    const LogServiceStats& st = service.drive(mac::Time{1} << 32);
+    ASSERT_TRUE(st.complete);
+    EXPECT_EQ(st.oracle_failures, 0u);
+    const verify::LogPrefixVerdict prefix =
+        verify::check_log_prefix(service.network(), slot_instances(service));
+    EXPECT_TRUE(prefix.consistent) << prefix.detail;
+    EXPECT_EQ(prefix.common_prefix, st.slots_total);
+    EXPECT_EQ(service.state_machine().digest(), clean_kv.digest());
+
+    // A partial leased broadcast: the leader decided a leased value (only
+    // CommitFlood slots carry values below the renewal encoding, and every
+    // forced-wPAXOS slot launches after the leader is dead) while some but
+    // not all followers did.
+    const mac::Network& net = service.network();
+    for (mac::InstanceId i = 0; i < net.instance_count(); ++i) {
+      const mac::Decision& d = net.decision(leader, i);
+      if (!d.decided ||
+          d.value >= (mac::Value{1} << ReplicatedLog::kLeaderBits)) {
+        continue;
+      }
+      std::size_t followers = 0;
+      for (NodeId u = 0; u < leader; ++u) followers += net.decision(u, i).decided;
+      if (followers > 0 && followers < n - 1) {
+        EXPECT_GT(st.slots_recovered, 0u);
+        ++partial_runs;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(partial_runs, 0u);  // the sweep did hit a mid-broadcast crash
+}
+
+TEST(LogRelayPruning, CliqueCountsAreExact) {
+  // The log-leased shape (16-clique, batch 8, window 4, lease 64, one-tick
+  // rounds) at 8192 ops: 1024 slots, 16 of them renewals. Counts are
+  // deterministic, so they are gated exactly — one extra event per op, or
+  // one relay per slot, fails here.
+  const std::size_t n = 16;
+  const net::Graph graph = net::make_clique(n);
+  const Workload workload(kSeed, 8192);
+  LogConfig config;
+  config.batch_size = 8;
+  config.window = 4;
+  config.lease_slots = 64;
+  mac::SynchronousScheduler sched(1);
+  ReplicatedLog service(graph, sched, workload, config);
+  const LogServiceStats& st = service.drive(mac::Time{1} << 32);
+  ASSERT_TRUE(st.complete);
+  ASSERT_EQ(st.slots_leased, 1008u);
+  ASSERT_EQ(st.slots_full_paxos, 16u);
+
+  const mac::Network& net = service.network();
+  for (std::size_t s = 0; s < st.slots_total; ++s) {
+    if (s % config.lease_slots == 0) continue;
+    const mac::InstanceStats& is = net.instance_stats(service.slot_instance(s));
+    EXPECT_EQ(is.broadcasts, 1u) << "slot " << s;
+    EXPECT_EQ(is.deliveries, n - 1) << "slot " << s;
+  }
+
+  const mac::EngineStats& es = net.stats();
+  const std::uint64_t events = es.wheel_pushes + es.overflow_pushes;
+  // Every queued event is a broadcast's delivery or its ack: n per
+  // broadcast on a clique, no relay copies and no crash events.
+  EXPECT_EQ(events, es.broadcasts * n);
+  // 1008 leased slots x 1 broadcast + 16 renewals x 112 wPAXOS broadcasts
+  // (relay-everywhere leased slots cost 16 broadcasts each: 17920 total).
+  EXPECT_EQ(es.broadcasts, 1008u + 16u * 112u);
+  EXPECT_EQ(es.deliveries, es.broadcasts * (n - 1));
+  EXPECT_EQ(events, 44800u);
+  EXPECT_EQ(st.end_time, 280u);
 }
 
 TEST(LogService, BatchRangeCoversStreamWithRaggedTail) {

@@ -229,5 +229,61 @@ TEST(MultiInstance, MidRunInstanceLaunchesAtCurrentTickAndDecides) {
   }
 }
 
+TEST(MultiInstance, SettleEpochMovesExactlyWhenAnInstanceSettles) {
+  const std::size_t n = 3;
+  const net::Graph graph = net::make_clique(n);
+  SynchronousScheduler sched(1);
+
+  // A decide settles: the flood's last follower decision bumps it once.
+  Network flood(graph, commit_flood_factory(2, 9), sched);
+  EXPECT_EQ(flood.settle_epoch(), 0u);
+  ASSERT_TRUE(flood.run(StopWhen::kQuiescent, 100).condition_met);
+  EXPECT_EQ(flood.settle_epoch(), 1u);
+
+  // A crash settles: a leaderless flood never decides, so only the crash
+  // of its last undecided live node moves the epoch.
+  Network silent(graph, commit_flood_factory(kNoNode, 9), sched);
+  for (NodeId u = 0; u < n; ++u) silent.schedule_crash({u, u + 1});
+  std::vector<std::uint64_t> seen;
+  silent.set_post_event_hook(
+      [&](Network& net) { seen.push_back(net.settle_epoch()); });
+  silent.run(StopWhen::kQuiescent, 100);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 0, 1}));
+  EXPECT_TRUE(silent.instance_all_decided(0));
+
+  // add_instance with no live node is settled on arrival.
+  const InstanceId empty = silent.add_instance(commit_flood_factory(0, 4));
+  EXPECT_EQ(silent.settle_epoch(), 2u);
+  EXPECT_TRUE(silent.instance_all_decided(empty));
+  EXPECT_FALSE(silent.decision(0, empty).decided);
+
+  // Retiring an unsettled instance settles it; retiring a settled one
+  // does not move the epoch again.
+  Network retired(graph, commit_flood_factory(kNoNode, 9), sched);
+  retired.retire_instance(0);
+  EXPECT_EQ(retired.settle_epoch(), 1u);
+  retired.retire_instance(0);
+  flood.retire_instance(0);
+  EXPECT_EQ(retired.settle_epoch(), 1u);
+  EXPECT_EQ(flood.settle_epoch(), 1u);
+}
+
+TEST(MultiInstance, CommitFloodFollowersRelayOnlyWhenAsked) {
+  // Line 0-1-2 with the leader at 0: node 2 hears the value only through
+  // node 1's relay.
+  const net::Graph line = net::make_line(3);
+  for (const bool relays : {true, false}) {
+    SCOPED_TRACE(relays ? "relays" : "no relays");
+    SynchronousScheduler sched(1);
+    Network net(line, [relays](NodeId u) {
+      return std::make_unique<core::CommitFlood>(u == 0, 6, relays);
+    }, sched);
+    net.run(StopWhen::kQuiescent, 100);
+    EXPECT_TRUE(net.decision(1).decided);
+    EXPECT_EQ(net.decision(2).decided, relays);
+    EXPECT_EQ(net.stats().broadcasts, relays ? 3u : 1u);
+  }
+}
+
 }  // namespace
 }  // namespace amac::mac
